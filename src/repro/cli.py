@@ -680,6 +680,28 @@ def _run_shard(args) -> int:
     return 0
 
 
+def _report_corpus(args, corpus) -> int:
+    """Shared ``walk`` tail: dead letters, DSan summary and report file,
+    ``--output``; exit code 3 on an incomplete corpus."""
+    for letter in corpus.failed_chunks:
+        print(f"DEAD-LETTER: {letter.describe()}", file=sys.stderr)
+    if "dsan" in corpus.metadata:
+        from .analysis.dsan import DsanReport
+
+        report = DsanReport.from_dict(corpus.metadata["dsan"])
+        print(
+            f"dsan: {len(report)} chunk fingerprint(s), "
+            f"{report.total_draws} RNG draw(s)"
+        )
+        if args.dsan_report:
+            report.save(args.dsan_report)
+            print(f"dsan report written to {args.dsan_report}")
+    if args.output:
+        corpus.save(args.output)
+        print(f"written to {args.output}")
+    return 0 if corpus.is_complete else 3
+
+
 def _run_sharded_walk(args) -> int:
     """``walk --shards``: out-of-core corpus via the bucketed scheduler."""
     from pathlib import Path
@@ -729,23 +751,7 @@ def _run_sharded_walk(args) -> int:
             f"{sharded['shard_bytes_read']:,} byte(s) read, "
             f"{sharded['crossings']} crossing(s)"
         )
-    for letter in corpus.failed_chunks:
-        print(f"DEAD-LETTER: {letter.describe()}", file=sys.stderr)
-    if "dsan" in corpus.metadata:
-        from .analysis.dsan import DsanReport
-
-        report = DsanReport.from_dict(corpus.metadata["dsan"])
-        print(
-            f"dsan: {len(report)} chunk fingerprint(s), "
-            f"{report.total_draws} RNG draw(s)"
-        )
-        if args.dsan_report:
-            report.save(args.dsan_report)
-            print(f"dsan report written to {args.dsan_report}")
-    if args.output:
-        corpus.save(args.output)
-        print(f"written to {args.output}")
-    return 0 if corpus.is_complete else 3
+    return _report_corpus(args, corpus)
 
 
 def _run_tool(argv: list[str]) -> int:
@@ -845,23 +851,7 @@ def _run_tool(argv: list[str]) -> int:
     )
     if args.engine == "batch":
         print(engine.describe())
-    for letter in corpus.failed_chunks:
-        print(f"DEAD-LETTER: {letter.describe()}", file=sys.stderr)
-    if "dsan" in corpus.metadata:
-        from .analysis.dsan import DsanReport
-
-        report = DsanReport.from_dict(corpus.metadata["dsan"])
-        print(
-            f"dsan: {len(report)} chunk fingerprint(s), "
-            f"{report.total_draws} RNG draw(s)"
-        )
-        if args.dsan_report:
-            report.save(args.dsan_report)
-            print(f"dsan report written to {args.dsan_report}")
-    if args.output:
-        corpus.save(args.output)
-        print(f"written to {args.output}")
-    return 0 if corpus.is_complete else 3
+    return _report_corpus(args, corpus)
 
 
 def _run_dsan_report(args, framework) -> int:

@@ -268,7 +268,45 @@ def _manifest_error(path: Path, detail: str) -> ShardLayoutError:
     return ShardLayoutError(f"{path}: {detail}")
 
 
-class ShardedCSRGraph:
+class _ShardGeometry:
+    """Geometry shared by the on-disk and virtual layouts.
+
+    Subclasses set the global ``indptr``/``degrees`` arrays and the shard
+    ``boundaries``; everything below derives from those three.
+    """
+
+    indptr: np.ndarray
+    degrees: np.ndarray
+    boundaries: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes."""
+        return len(self.indptr) - 1
+
+    @property
+    def num_edges(self) -> int:
+        """Number of stored directed edges across all shards."""
+        return int(self.indptr[-1])
+
+    @property
+    def num_shards(self) -> int:
+        """Number of contiguous node-range shards."""
+        return len(self.boundaries) - 1
+
+    def degree(self, v: int) -> int:
+        """Out-degree of node ``v``."""
+        return int(self.degrees[v])
+
+    def shard_of(self, nodes: "np.ndarray | int") -> "np.ndarray | int":
+        """Shard index (or index array) owning each node."""
+        result = np.searchsorted(self.boundaries, nodes, side="right") - 1
+        if np.isscalar(nodes):
+            return int(result)
+        return np.asarray(result, dtype=np.int64)
+
+
+class ShardedCSRGraph(_ShardGeometry):
     """A CSR graph stored as contiguous node-range shards on disk.
 
     Only the O(|V|) structural arrays (global ``indptr`` and ``degrees``)
@@ -457,21 +495,6 @@ class ShardedCSRGraph:
 
     # ------------------------------------------------------------------
     @property
-    def num_nodes(self) -> int:
-        """Number of nodes."""
-        return len(self.indptr) - 1
-
-    @property
-    def num_edges(self) -> int:
-        """Number of stored directed edges across all shards."""
-        return int(self.indptr[-1])
-
-    @property
-    def num_shards(self) -> int:
-        """Number of contiguous node-range shards."""
-        return len(self._specs)
-
-    @property
     def is_unit_weight(self) -> bool:
         """True when every stored edge weight is exactly 1.0."""
         return bool(self._manifest.get("unit_weight", False))
@@ -480,17 +503,6 @@ class ShardedCSRGraph:
     def total_bytes(self) -> int:
         """Summed size of every shard file (the layout's disk footprint)."""
         return sum(spec.nbytes for spec in self._specs)
-
-    def degree(self, v: int) -> int:
-        """Out-degree of node ``v``."""
-        return int(self.degrees[v])
-
-    def shard_of(self, nodes: "np.ndarray | int") -> "np.ndarray | int":
-        """Shard index (or index array) owning each node."""
-        result = np.searchsorted(self.boundaries, nodes, side="right") - 1
-        if np.isscalar(nodes):
-            return int(result)
-        return np.asarray(result, dtype=np.int64)
 
     def shard_spec(self, index: int) -> ShardSpec:
         """The loadable description of shard ``index``."""
@@ -592,7 +604,7 @@ class ShardedCSRGraph:
         )
 
 
-class VirtualShardLayout:
+class VirtualShardLayout(_ShardGeometry):
     """The shard-layout surface over an in-memory :class:`CSRGraph`.
 
     Shard "loads" are zero-copy array slices, but the geometry, the spec
@@ -631,21 +643,6 @@ class VirtualShardLayout:
         self._layout_signature: str | None = None
 
     @property
-    def num_nodes(self) -> int:
-        """Number of nodes."""
-        return self.graph.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """Number of stored directed edges."""
-        return self.graph.num_edges
-
-    @property
-    def num_shards(self) -> int:
-        """Number of virtual shards."""
-        return len(self.boundaries) - 1
-
-    @property
     def is_unit_weight(self) -> bool:
         """True when every stored edge weight is exactly 1.0."""
         return self.graph.is_unit_weight
@@ -654,17 +651,6 @@ class VirtualShardLayout:
     def total_bytes(self) -> int:
         """Resident footprint the equivalent on-disk layout would have."""
         return sum(self.shard_nbytes(i) for i in range(self.num_shards))
-
-    def degree(self, v: int) -> int:
-        """Out-degree of node ``v``."""
-        return self.graph.degree(v)
-
-    def shard_of(self, nodes: "np.ndarray | int") -> "np.ndarray | int":
-        """Shard index (or index array) owning each node."""
-        result = np.searchsorted(self.boundaries, nodes, side="right") - 1
-        if np.isscalar(nodes):
-            return int(result)
-        return np.asarray(result, dtype=np.int64)
 
     def shard_nbytes(self, index: int) -> int:
         """Bytes shard ``index`` occupies when resident (same formula as disk)."""

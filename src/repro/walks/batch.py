@@ -48,7 +48,7 @@ draw-order digests prove it at the bit level.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -226,23 +226,9 @@ class BatchWalkEngine:
         """``num_walks`` walks per start node (default: every non-isolated
         node), in start-major order.  Returns a :class:`WalkCorpus` with
         engine/cache counters on ``corpus.metadata``."""
-        if num_walks < 1:
-            raise WalkError("num_walks must be >= 1")
-        if length < 0:
-            raise WalkError("length must be non-negative")
-        gen = ensure_rng(rng)
-        if starts is None:
-            starts = np.flatnonzero(self.graph.degrees > 0)
-        starts = np.asarray(starts, dtype=np.int64)
-        if len(starts) and (
-            starts.min() < 0 or starts.max() >= self._n
-        ):
-            raise WalkError("start node out of range")
-        walkers = np.repeat(starts, num_walks)
-        trails = self._run(walkers, length, gen)
-        corpus = _corpus_from_trails(trails)
-        corpus.metadata.update(self.stats())
-        return corpus
+        return _engine_walks(
+            self, starts=starts, num_walks=num_walks, length=length, rng=rng
+        )
 
     def walk_chunk(
         self,
@@ -856,8 +842,32 @@ def _trim_trail(row: np.ndarray) -> np.ndarray:
     return row[: stop if stop > 0 else len(row)].copy()
 
 
-def _corpus_from_trails(trails: np.ndarray) -> WalkCorpus:
-    corpus = WalkCorpus()
-    for row in trails:
-        corpus.add(_trim_trail(row))
+def _engine_walks(
+    engine: Any,
+    *,
+    starts: np.ndarray | list[int] | None,
+    num_walks: int,
+    length: int,
+    rng: RngLike,
+) -> WalkCorpus:
+    """The ``walks()`` front door shared by every chunk engine.
+
+    Validates the arguments, runs all ``num_walks`` walks per start node
+    (default: every non-isolated node) as one ``walk_chunk`` call, and
+    puts the engine's :meth:`stats` on ``corpus.metadata``.
+    """
+    if num_walks < 1:
+        raise WalkError("num_walks must be >= 1")
+    if length < 0:
+        raise WalkError("length must be non-negative")
+    degrees = engine.graph.degrees
+    if starts is None:
+        starts = np.flatnonzero(degrees > 0)
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) and (starts.min() < 0 or starts.max() >= len(degrees)):
+        raise WalkError("start node out of range")
+    corpus = WalkCorpus.from_walks(
+        engine.walk_chunk(starts, num_walks=num_walks, length=length, rng=rng)
+    )
+    corpus.metadata.update(engine.stats())
     return corpus

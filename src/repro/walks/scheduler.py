@@ -1,14 +1,18 @@
 """Bucketed bi-block walk scheduling over sharded CSR layouts.
 
 GraSorw's key insight (PAPERS.md): when the graph does not fit in memory,
-the unit of I/O should be the *shard*, not the step.  Each walk is parked
-in the bucket of the shard holding its current node; the scheduler pins
-one shard (most-populated bucket first), advances **every** walk in that
+the unit of I/O should be the *shard*, not the step.  Each walk belongs to
+the bucket of the shard holding its current node; the scheduler pins one
+shard (most-populated bucket first) and advances **every** walk in that
 bucket through the existing step-centric ``@hot_path`` kernels until each
-one either finishes, dies at a sink, or crosses a shard boundary — at
-which point it is re-bucketed.  One shard load is thus amortised across
-every resident walk, so I/O cost scales with shard loads rather than with
-walk steps.
+one either finishes, dies at a sink, or crosses a shard boundary.  One
+shard load is thus amortised across every resident walk, so I/O cost
+scales with shard loads rather than with walk steps.
+
+Walker state lives in per-chunk arrays (trails, current/previous node,
+hop depth, active mask).  Buckets are not stored: every round derives
+each active walker's bucket from ``shard_of(current)``, so a crossing
+walker simply shows up in its new bucket next round.
 
 Determinism contract
 --------------------
@@ -16,8 +20,9 @@ Out-of-order bucket execution is incompatible with the batch engine's
 frontier-wide draw stream, so the scheduler derives **per-walker RNG
 streams**: the chunk generator is consumed exactly once, for one recorded
 ``integers`` call yielding a seed per walker (the determinism sanitizer
-fingerprints it), and each walker then draws one uniform per hop from its
-own ``default_rng(seed)``.  Walk output is therefore a pure function of
+fingerprints it), and each walker's stream is pre-drawn at chunk start
+into one row of a walkers × length uniform matrix — hop ``k`` reads
+column ``k``.  Walk output is therefore a pure function of
 ``(chunk seed, start order, graph)`` — invariant to the shard geometry,
 the residency budget, the scheduling policy, and the worker count.  The
 *in-memory reference* is this same scheduler running over a
@@ -29,16 +34,18 @@ pinned by corpus hashes in the test suite.
 Second-order exactness across boundaries: a walk leaving shard ``A`` for
 shard ``B`` needs the adjacency row of its *previous* node (still in
 ``A``) to weight its next hop.  The scheduler captures that row —
-neighbours, weights, and their sum — while ``A`` is resident and carries
-it with the walker, dropping it after the first in-shard hop.  The
+neighbours, weights, and their sum — while ``A`` is resident and stores
+it as the walker's carried row, overwritten at its next crossing.  The
 :class:`_ShardView` resolves every row a model asks for from the focus
-shard or the carried set, and fails loudly on anything else.
+shard or the carried rows, and fails loudly on anything else.
 
-Policies: ``"bucketed"`` is the bi-block schedule above; ``"lockstep"``
-is the naive comparator that advances every walk one global step per
-round, faulting shards on demand — bit-identical output (the per-walker
-streams guarantee it) with strictly worse I/O counters, which is exactly
-what ``benchmarks/bench_sharded.py`` measures.
+Policies share one scheduling loop and differ only in which shards a
+round visits: ``"bucketed"`` visits the fullest bucket and drains it (the
+bi-block schedule above); ``"lockstep"`` is the naive comparator that
+visits every populated shard once per round and advances its walks one
+hop — bit-identical output (the per-walker streams guarantee it) with
+strictly worse I/O counters, which is exactly what
+``benchmarks/bench_sharded.py`` measures.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from ..graph.sharded import (
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
-from .batch import _trim_trail
+from .batch import _engine_walks, _trim_trail
 from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
@@ -68,6 +75,7 @@ SCHEDULING_POLICIES = ("bucketed", "lockstep")
 class _CarriedRow(NamedTuple):
     """Adjacency row a crossing walker carries for its off-shard prev node."""
 
+    node: int
     neighbors: np.ndarray
     weights: np.ndarray
     weight_sum: float
@@ -189,18 +197,33 @@ class _ShardView:
     def has_edge_pairs(
         self, sources: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
-        """Elementwise edge existence for parallel source/target arrays."""
+        """Elementwise edge existence for parallel source/target arrays.
+
+        One composite-key ``searchsorted``, as in
+        :meth:`CSRGraph.has_edge_pairs`, over the gathered rows of the
+        unique sources: row ``i`` of the gather holds keys
+        ``i * |V| + z``, sorted because each row is.
+        """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        result = np.zeros(len(sources), dtype=bool)
-        for u in np.unique(sources):
-            mask = sources == u
-            result[mask] = self.has_edges_bulk(int(u), targets[mask])
+        unique, group = np.unique(sources, return_inverse=True)
+        rows = [self._row(int(u))[0] for u in unique]
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        keys = np.repeat(
+            np.arange(len(unique), dtype=np.int64) * self.num_nodes, sizes
+        )
+        if rows:
+            keys += np.concatenate(rows)
+        queries = group * self.num_nodes + targets
+        pos = np.searchsorted(keys, queries)
+        ok = pos < len(keys)
+        result = np.zeros(len(queries), dtype=bool)
+        result[ok] = keys[pos[ok]] == queries[ok]
         return result
 
 
 class _ChunkState:
-    """Mutable per-chunk walker state shared by both scheduling policies."""
+    """Per-chunk walker state as arrays, one entry (or row) per walker."""
 
     __slots__ = (
         "trails",
@@ -209,7 +232,7 @@ class _ChunkState:
         "depth",
         "active",
         "scratch",
-        "streams",
+        "uniforms",
         "carried",
         "degrees",
         "length",
@@ -230,8 +253,11 @@ class _ChunkState:
         self.depth = np.zeros(n, dtype=np.int64)
         self.active = degrees[walkers] > 0
         self.scratch = np.empty(n, dtype=np.int64)
-        self.streams = [np.random.default_rng(int(seed)) for seed in seeds]
-        self.carried: dict[int, _CarriedRow] = {}
+        # Row i is walker i's private stream: hop k reads column k.
+        self.uniforms = np.empty((n, length), dtype=np.float64)
+        for row, seed in zip(self.uniforms, seeds):
+            np.random.default_rng(int(seed)).random(out=row)
+        self.carried: list[_CarriedRow | None] = [None] * n
         self.degrees = degrees
         self.length = length
 
@@ -337,9 +363,9 @@ class BucketedWalkScheduler:
         """Chunk entry point: walks in start-major order, one per entry.
 
         Consumes the chunk generator exactly once — a single recorded
-        ``integers`` draw of one seed per walker — then runs every hop
-        off the walkers' private streams, so the result is independent
-        of scheduling order.
+        ``integers`` draw of one seed per walker — then pre-draws every
+        walker's private stream, so the result is independent of
+        scheduling order.
         """
         gen = ensure_rng(rng)
         walkers = np.repeat(np.asarray(nodes, dtype=np.int64), num_walks)
@@ -353,10 +379,7 @@ class BucketedWalkScheduler:
         state = _ChunkState(
             walkers, length, self.graph.degrees.astype(np.int64, copy=False), seeds
         )
-        if self.policy == "bucketed":
-            self._run_bucketed(state)
-        else:
-            self._run_lockstep(state)
+        self._schedule(state)
         return [_trim_trail(row) for row in state.trails]
 
     def walks(
@@ -369,23 +392,9 @@ class BucketedWalkScheduler:
     ) -> WalkCorpus:
         """``num_walks`` walks per start node (default: every non-isolated
         node), start-major, with scheduler counters on ``metadata``."""
-        if num_walks < 1:
-            raise WalkError("num_walks must be >= 1")
-        if length < 0:
-            raise WalkError("length must be non-negative")
-        gen = ensure_rng(rng)
-        if starts is None:
-            starts = np.flatnonzero(self.graph.degrees > 0)
-        starts = np.asarray(starts, dtype=np.int64)
-        if len(starts) and (starts.min() < 0 or starts.max() >= self._n):
-            raise WalkError("start node out of range")
-        corpus = WalkCorpus()
-        for trail in self.walk_chunk(
-            starts, num_walks=num_walks, length=length, rng=gen
-        ):
-            corpus.add(trail)
-        corpus.metadata.update(self.stats())
-        return corpus
+        return _engine_walks(
+            self, starts=starts, num_walks=num_walks, length=length, rng=rng
+        )
 
     def counters(self) -> dict:
         """Summable event counts (the cross-worker merge payload).
@@ -442,68 +451,47 @@ class BucketedWalkScheduler:
         )
 
     # ------------------------------------------------------------------
-    # scheduling policies
+    # scheduling
     # ------------------------------------------------------------------
-    def _run_bucketed(self, state: _ChunkState) -> None:
-        """Bi-block schedule: drain the most populated bucket first."""
-        buckets: dict[int, list[int]] = {}
-        self._park(state, np.flatnonzero(state.active), buckets)
-        while buckets:
-            sid = min(buckets, key=lambda s: (-len(buckets[s]), s))
-            members = np.asarray(sorted(buckets.pop(sid)), dtype=np.int64)
-            shard = self.manager.acquire(sid)
-            self._bucket_visits += 1
-            while members.size:
-                members, crossings = self._advance(state, shard, members)
-                for walker, dest in crossings:
-                    buckets.setdefault(dest, []).append(walker)
+    def _schedule(self, state: _ChunkState) -> None:
+        """Run rounds until every walker is done.
 
-    def _run_lockstep(self, state: _ChunkState) -> None:
-        """Naive comparator: one global step per round, shards on demand.
-
-        Same per-walker streams, so the corpus is bit-identical to the
-        bucketed policy; only the I/O counters differ (every round faults
-        each populated shard again).
+        Each round derives every active walker's bucket from the shard of
+        its current node; the policy only chooses which shards the round
+        visits.  ``bucketed`` visits the fullest bucket (lowest shard id
+        on ties) and drains it; ``lockstep`` visits every populated shard
+        once, advancing its walkers one hop.
         """
+        drain = self.policy == "bucketed"
         while True:
             frontier = np.flatnonzero(state.active)
             if frontier.size == 0:
-                break
-            shard_ids = np.asarray(
+                return
+            buckets = np.asarray(
                 self.graph.shard_of(state.current[frontier]), dtype=np.int64
             )
-            for sid in np.unique(shard_ids):
-                members = frontier[shard_ids == sid]
-                shard = self.manager.acquire(int(sid))
+            if drain:
+                shards = [int(np.argmax(np.bincount(buckets)))]
+            else:
+                shards = np.unique(buckets).tolist()
+            for sid in shards:
+                shard = self.manager.acquire(sid)
                 self._bucket_visits += 1
-                self._advance(state, shard, members)
-
-    def _park(
-        self,
-        state: _ChunkState,
-        walkers: np.ndarray,
-        buckets: dict[int, list[int]],
-    ) -> None:
-        """Append each walker to the bucket of its current node's shard."""
-        if walkers.size == 0:
-            return
-        shard_ids = np.asarray(
-            self.graph.shard_of(state.current[walkers]), dtype=np.int64
-        )
-        for walker, sid in zip(walkers, shard_ids):
-            buckets.setdefault(int(sid), []).append(int(walker))
+                members = self._advance(state, shard, frontier[buckets == sid])
+                while drain and members.size:
+                    members = self._advance(state, shard, members)
 
     # ------------------------------------------------------------------
     # micro-step
     # ------------------------------------------------------------------
     def _advance(
         self, state: _ChunkState, shard: ShardData, members: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    ) -> np.ndarray:
         """Advance ``members`` (all on ``shard``) one hop.
 
-        Returns the members still active inside the shard, plus
-        ``(walker, destination shard)`` pairs for boundary crossings —
-        each crossing walker now carrying its previous node's row.
+        Returns the members still active inside the shard; each walker
+        that crossed into another shard now carries its previous node's
+        row.
         """
         first = members[state.depth[members] == 0]
         later = members[state.depth[members] > 0]
@@ -526,26 +514,15 @@ class BucketedWalkScheduler:
         self._steps += len(members)
 
         walking = members[state.active[members]]
-        for walker in members[~state.active[members]]:
-            state.carried.pop(int(walker), None)
-        if walking.size == 0:
-            return walking, []
-        dests = np.asarray(
-            self.graph.shard_of(state.current[walking]), dtype=np.int64
-        )
-        inside = dests == shard.index
-        for walker in walking[inside]:
-            state.carried.pop(int(walker), None)
-        crossings: list[tuple[int, int]] = []
+        current = state.current[walking]
+        inside = (current >= shard.start) & (current < shard.stop)
         leaving = walking[~inside]
-        if leaving.size:
-            self._crossings += len(leaving)
-            for walker, dest in zip(leaving, dests[~inside]):
-                state.carried[int(walker)] = self._capture_row(
-                    shard, int(state.previous[walker])
-                )
-                crossings.append((int(walker), int(dest)))
-        return walking[inside], crossings
+        self._crossings += len(leaving)
+        for walker in leaving.tolist():
+            state.carried[walker] = self._capture_row(
+                shard, int(state.previous[walker])
+            )
+        return walking[inside]
 
     def _capture_row(self, shard: ShardData, v: int) -> _CarriedRow:
         """Copy node ``v``'s row out of the resident shard for carrying."""
@@ -553,6 +530,7 @@ class BucketedWalkScheduler:
         hi = int(self.graph.indptr[v + 1]) - shard.edge_offset
         weights = np.array(shard.weights[lo:hi], dtype=np.float64)
         return _CarriedRow(
+            node=v,
             neighbors=np.array(shard.indices[lo:hi], dtype=np.int64),
             weights=weights,
             weight_sum=float(np.sum(weights)),
@@ -571,7 +549,7 @@ class BucketedWalkScheduler:
             np.int64
         )
         flat = kb.gather_segments(starts, sizes, shard.weights)
-        uniforms = self._draw(state, sub)
+        uniforms = state.uniforms[sub, state.depth[sub]]
         picks, bad = kb.segmented_inverse_cdf(flat, sizes, group, uniforms)
         if bad >= 0:
             raise WalkError(
@@ -596,7 +574,7 @@ class BucketedWalkScheduler:
             self._carried_rows(state, shard, sub),
         )
         flat, sizes = self.model.biased_weights_many(view, us, vs)
-        uniforms = self._draw(state, sub)
+        uniforms = state.uniforms[sub, state.depth[sub]]
         picks, bad = kb.segmented_inverse_cdf(flat, sizes, group, uniforms)
         if bad >= 0:
             raise WalkError(
@@ -611,26 +589,18 @@ class BucketedWalkScheduler:
         self, state: _ChunkState, shard: ShardData, sub: np.ndarray
     ) -> dict[int, _CarriedRow]:
         """Node-keyed carried rows for the off-shard prev nodes of ``sub``."""
+        prev = state.previous[sub]
+        outside = (prev < shard.start) | (prev >= shard.stop)
         carried: dict[int, _CarriedRow] = {}
-        for walker in sub:
-            u = int(state.previous[walker])
-            if shard.start <= u < shard.stop:
-                continue
-            row = state.carried.get(int(walker))
-            if row is None:
+        for walker, u in zip(sub[outside].tolist(), prev[outside].tolist()):
+            row = state.carried[walker]
+            if row is None or row.node != u:
                 raise WalkError(
-                    f"walker {int(walker)} crossed into shard {shard.index} "
+                    f"walker {walker} crossed into shard {shard.index} "
                     f"without a carried row for prev node {u}"
                 )
             carried[u] = row
         return carried
-
-    def _draw(self, state: _ChunkState, sub: np.ndarray) -> np.ndarray:
-        """One uniform per walker in ``sub``, each from its own stream."""
-        out = np.empty(len(sub), dtype=np.float64)
-        for i, walker in enumerate(sub):
-            out[i] = state.streams[int(walker)].random()
-        return out
 
 
 def scheduled_walks(

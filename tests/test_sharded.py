@@ -41,6 +41,7 @@ from repro.graph import (
 from repro.models import Node2VecModel
 from repro.resilience import FaultPlan
 from repro.walks import BucketedWalkScheduler, scheduled_walks
+from repro.walks.scheduler import _CarriedRow, _ShardView
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +322,33 @@ class TestDeterminism:
                 reference = counters
             assert counters == reference
 
+    # Schedule counters for the pinned corpus on ``layout``: a change to
+    # the visit order moves these even when the corpus stays put.
+    @pytest.mark.parametrize(
+        "policy, max_resident, expected",
+        [
+            ("bucketed", 1, (102, 99, 102, 2177)),
+            ("bucketed", 2, (102, 96, 102, 2177)),
+            ("lockstep", 1, (172, 169, 172, 2177)),
+            ("lockstep", 2, (172, 166, 172, 2177)),
+        ],
+    )
+    def test_schedule_counters_pinned(
+        self, layout, model, policy, max_resident, expected
+    ):
+        corpus = generate_walks(
+            layout, model, policy=policy, max_resident=max_resident,
+            **WALK_KWARGS,
+        )
+        assert corpus_sha(corpus) == PINNED
+        counters = corpus.metadata["sharded"]
+        assert (
+            counters["shard_loads"],
+            counters["shard_evictions"],
+            counters["bucket_visits"],
+            counters["crossings"],
+        ) == expected
+
     def test_layout_hash_recorded_in_metadata(self, layout, model):
         corpus = generate_walks(layout, model, max_resident=2, **WALK_KWARGS)
         assert corpus.metadata["layout"] == layout.layout_signature
@@ -399,6 +427,38 @@ class TestEdgeCases:
         assert virtual.num_shards == 4
         assert virtual.materialize() is graph
         assert np.all(virtual.shard_of(np.arange(graph.num_nodes)) < 4)
+
+    def test_shard_view_edge_pairs_match_csr(self, graph):
+        layout = VirtualShardLayout(graph, num_shards=5)
+        shard = ShardResidencyManager(layout).acquire(2)
+        outside = [
+            v for v in range(graph.num_nodes)
+            if not shard.start <= v < shard.stop
+        ][::7]
+        carried = {
+            v: _CarriedRow(
+                v,
+                graph.neighbors(v),
+                graph.neighbor_weights(v),
+                float(graph.neighbor_weights(v).sum()),
+            )
+            for v in outside
+        }
+        view = _ShardView(
+            layout.indptr, layout.degrees, graph.num_nodes, shard, carried
+        )
+        rng = np.random.default_rng(3)
+        pool = np.concatenate([np.arange(shard.start, shard.stop), outside])
+        sources = rng.choice(pool, size=400)
+        targets = rng.integers(0, graph.num_nodes, size=400)
+        # Half the targets are real neighbours, the rest mostly absent.
+        for i in range(0, 400, 2):
+            row = graph.neighbors(int(sources[i]))
+            targets[i] = row[rng.integers(len(row))]
+        expected = graph.has_edge_pairs(sources, targets)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(view.has_edge_pairs(sources, targets), expected)
+        assert view.has_edge_pairs(sources[:0], targets[:0]).shape == (0,)
 
     def test_unsupported_graph_type_rejected(self, model):
         with pytest.raises(WalkError, match="graph"):
