@@ -203,24 +203,11 @@ class CSRGraph:
 
     def has_edge_pairs(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorised edge-existence over aligned ``(sources[i], targets[i])``
-        pairs — one ``searchsorted`` call for the whole batch.
-
-        Lazily builds (and keeps) a globally sorted composite-key view of
-        the adjacency (``u * |V| + z`` per stored edge, ``O(|E|)`` int64),
-        which is sorted because rows are ascending and each row's
-        neighbours are sorted.  The batch walk engine's frontier-wide
-        node2vec classification is the hot caller.
+        pairs — the found mask of :meth:`edge_positions`, one
+        ``searchsorted`` call for the whole batch.  The batch walk engine's
+        frontier-wide node2vec classification is the hot caller.
         """
-        keys = self._ensure_edge_keys()
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        queries = sources * self.num_nodes + targets
-        pos = np.searchsorted(keys, queries)
-        ok = pos < len(keys)
-        result = np.zeros(len(queries), dtype=bool)
-        if ok.any():
-            result[ok] = keys[pos[ok]] == queries[ok]
-        return result
+        return self.edge_positions(sources, targets)[1]
 
     def edge_positions(
         self, sources: np.ndarray, targets: np.ndarray
@@ -229,6 +216,8 @@ class CSRGraph:
         ``(sources[i], targets[i])``, the index of ``targets[i]`` within
         ``neighbors(sources[i])`` plus a found mask.
 
+        Lazily builds (and keeps) a globally sorted composite-key view of
+        the adjacency (``u * |V| + z`` per stored edge, ``O(|E|)`` int64).
         Positions are meaningful only where ``found`` is ``True``.  Because
         the composite keys are built in CSR order, a key's rank in the
         sorted view *is* its flat CSR position, so the in-row index is one

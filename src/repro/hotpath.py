@@ -19,8 +19,8 @@ both the walk engines and the sanitizer import *it*, never the reverse.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
+from contextlib import contextmanager, nullcontext
+from typing import Callable, ContextManager, Iterator, TypeVar
 
 F = TypeVar("F", bound=Callable[..., object])
 
@@ -49,8 +49,12 @@ def current_kernel() -> str | None:
     return _kernel_stack[-1] if _kernel_stack else None
 
 
-@contextmanager
-def kernel_scope(name: str) -> Iterator[None]:
+#: The scope handed out while no observer is installed: one shared,
+#: reusable no-op context manager instead of a fresh generator per use.
+_NULL_SCOPE: ContextManager[None] = nullcontext()
+
+
+def kernel_scope(name: str) -> ContextManager[None]:
     """Attribute RNG draws inside the block to kernel ``name``.
 
     The step-centric kernels take *pre-drawn* uniforms (so compiled
@@ -58,11 +62,18 @@ def kernel_scope(name: str) -> Iterator[None]:
     the engine driver, outside any ``@hot_path`` function.  Wrapping the
     draw site in ``kernel_scope("segmented_inverse_cdf")`` keeps the
     sanitizer's per-kernel attribution pointing at the kernel the
-    uniforms are destined for.  Free when no observer is installed.
+    uniforms are destined for.  With no observer installed it returns the
+    shared :data:`_NULL_SCOPE`, so an unobserved ``with`` costs one flag
+    check and no allocation.
     """
     if not _observer_installed:
-        yield
-        return
+        return _NULL_SCOPE
+    return _observed_scope(name)
+
+
+@contextmanager
+def _observed_scope(name: str) -> Iterator[None]:
+    """The observed form of :func:`kernel_scope`: push/pop ``name``."""
     _kernel_stack.append(name)
     try:
         yield

@@ -171,7 +171,7 @@ def crawl_walks(
             )
     stale_before = rgraph.stale_hits
     truncated = 0
-    walks: list[np.ndarray] = []
+    walks: list[list[int]] = []
     for start in start_nodes:
         walk = [int(start)]
         try:
@@ -189,8 +189,8 @@ def crawl_walks(
             # Circuit open, or retries exhausted before it tripped —
             # either way the walk cannot advance honestly: truncate.
             truncated += 1
-        walks.append(np.asarray(walk, dtype=np.int64))
-    corpus = WalkCorpus(walks=walks)
+        walks.append(walk)
+    corpus = WalkCorpus.from_walks(walks)
     corpus.metadata["crawl"] = {
         "num_walks": int(num_walks),
         "length": int(length),

@@ -118,13 +118,15 @@ class WalkCheckpoint:
                 f"{self.path}: checkpoint belongs to a different run "
                 f"(stored signature {stored!r}, expected {signature!r})"
             )
+        from ..walks.corpus import as_walk  # walks imports resilience
+
         completed: dict = {}
         for record in records[1:]:
             if record.get("kind") != "chunk":
                 raise CheckpointError(
                     f"{self.path}: unexpected record kind {record.get('kind')!r}"
                 )
-            walks = [np.asarray(w, dtype=np.int64) for w in record["walks"]]
+            walks = [as_walk(w) for w in record["walks"]]
             completed[int(record["chunk"])] = (
                 int(record["seed"]),
                 [int(v) for v in record["nodes"]],

@@ -19,10 +19,13 @@ memory the optimizer paid for is actually exploited on the hot path:
   one segmented inverse-CDF draw for the whole frontier slice.  A hot
   edge-state :class:`~repro.walks.cache.EdgeStateCache` memoises the
   weight vectors (LRU, byte-accounted) so popular states skip the rebuild;
-* **rejection** nodes run KnightKing-style vectorised rejection: proposal
-  columns, keep/alias resolution, and acceptance draws are whole-array
-  operations, looping only over the (geometrically shrinking) rejected
-  remainder;
+* **rejection** nodes run KnightKing-style vectorised rejection in
+  blocked rounds: round ``r`` hands every still-pending walker a block of
+  ``2**r`` i.i.d. proposals whose columns, keep/alias resolution and
+  acceptance draws are whole-array operations, and each walker keeps its
+  first accepted proposal (the rest of its block is discarded) — so the
+  round count per step grows with ``log2`` of the slowest walker's trial
+  count instead of linearly;
 * **alias** nodes gather their pre-built e2e tables and resolve every
   walker with two uniform draws, no distribution rebuilds at all;
 * custom samplers fall back to the per-group
@@ -60,7 +63,7 @@ from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
 from .cache import EdgeStateCache
-from .corpus import WalkCorpus
+from .corpus import WalkCorpus, as_walk
 from .kernels import KernelBackend, resolve_backend
 
 # Internal dispatch buckets, processed in this fixed order each step.
@@ -86,7 +89,9 @@ class BatchWalkEngine:
         from, or ``None`` to disable.  Serves the naive path only (states
         whose distributions the assignment did *not* pay to materialise).
     max_rejection_rounds:
-        Safety valve for the vectorised rejection loop.
+        Safety valve for the vectorised rejection loop: the cap on
+        proposals per walker per hop (the last block is truncated to it);
+        a walker that reaches it raises :class:`SamplerError`.
     backend:
         Kernel backend running the step-centric array math: a registry
         name (``"numpy"``, ``"numba"``), a resolved
@@ -242,8 +247,7 @@ class BatchWalkEngine:
         walks in start-major order, one list entry per walk."""
         gen = ensure_rng(rng)
         walkers = np.repeat(np.asarray(nodes, dtype=np.int64), num_walks)
-        trails = self._run(walkers, length, gen)
-        return [_trim_trail(row) for row in trails]
+        return _trim_trails(self._run(walkers, length, gen))
 
     def stats(self) -> dict:
         """Cache and dispatch counters (observability hooks).
@@ -511,41 +515,50 @@ class BatchWalkEngine:
         v_arr = current[sub]
         base_all = self._n2e_base[v_arr]
         d_all = self.graph.degrees[v_arr].astype(np.int64, copy=False)
+        row_all = self.graph.indptr[v_arr]
         factors = self._acceptance_factors(sub, u_arr, v_arr)
 
         result = np.empty(len(sub), dtype=np.int64)
         pending = np.arange(len(sub))
-        indptr = self.graph.indptr
+        cap = self.max_rejection_rounds
+        used, block = 0, 1
         # The rejection *loop* is a driver concern (its trip count is
-        # data-dependent); each round's array work is one proposal kernel
-        # plus one acceptance kernel over the pending remainder.
-        for _ in range(self.max_rejection_rounds):
-            if pending.size == 0:
-                break
+        # data-dependent).  Round r hands every pending walker a block of
+        # 2**r i.i.d. proposals (the last block truncated to the cap), so
+        # late rounds stay wide; each walker keeps its first acceptance.
+        while pending.size and used < cap:
+            size = min(block, cap - used)
             k = len(pending)
+            rows = np.repeat(pending, size)
             with kernel_scope("flat_alias_pick"):
-                u_column = gen.random(k)
-                u_keep = gen.random(k)
+                u_column = gen.random(k * size)
+                u_keep = gen.random(k * size)
             picks = kb.flat_alias_pick(
                 self._n2e_prob,
                 self._n2e_alias_tab,
-                base_all[pending],
-                d_all[pending],
+                base_all[rows],
+                d_all[rows],
                 u_column,
                 u_keep,
             )
-            z = self.graph.indices[indptr[v_arr[pending]] + picks]
+            z = self.graph.indices[row_all[rows] + picks]
             ratios = self.model.target_ratio_bulk(
-                self.graph, u_arr[pending], v_arr[pending], z
+                self.graph, u_arr[rows], v_arr[rows], z
             )
             with kernel_scope("acceptance_mask"):
-                u_accept = gen.random(k)
-            accepted = kb.acceptance_mask(ratios, factors[pending], u_accept)
-            result[pending[accepted]] = z[accepted]
-            pending = pending[~accepted]
+                u_accept = gen.random(k * size)
+            accepted = kb.acceptance_mask(
+                ratios, factors[rows], u_accept
+            ).reshape(k, size)
+            hit = accepted.any(axis=1)
+            first = accepted[hit].argmax(axis=1)
+            result[pending[hit]] = z.reshape(k, size)[hit, first]
+            pending = pending[~hit]
+            used += size
+            block *= 2
         if pending.size:
             raise SamplerError(
-                f"batch rejection exceeded {self.max_rejection_rounds} rounds"
+                f"batch rejection exceeded {cap} proposals per walker"
             )
         trails[sub, t] = result
         self._count("rejection", self._distinct_nodes(v_arr), len(sub))
@@ -834,12 +847,19 @@ def batch_second_order_pagerank(
     return scores
 
 
-def _trim_trail(row: np.ndarray) -> np.ndarray:
-    """Cut the ``-1`` padding of a dead-ended trail (copying the slice so
-    the full trails matrix is not pinned in memory by corpus references)."""
-    negative = row < 0
-    stop = int(np.argmax(negative)) if negative.any() else len(row)
-    return row[: stop if stop > 0 else len(row)].copy()
+def _trim_trails(trails: np.ndarray) -> list[np.ndarray]:
+    """One corpus walk per trails row, as :data:`~repro.walks.corpus.WALK_DTYPE`.
+
+    The whole matrix is range-checked and cast once; each row is then cut
+    at its ``-1`` padding (dead end) and copied, so the full trails matrix
+    is not pinned in memory by corpus references.
+    """
+    walks: list[np.ndarray] = []
+    for row in as_walk(trails):
+        negative = row < 0
+        stop = int(np.argmax(negative)) if negative.any() else len(row)
+        walks.append(row[: stop if stop > 0 else len(row)].copy())
+    return walks
 
 
 def _engine_walks(

@@ -13,8 +13,36 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
+import numpy.typing as npt
 
 from ..exceptions import WalkError
+
+#: Node-id dtype of every stored walk: half the bytes of ``int64`` per hop.
+WALK_DTYPE = np.int32
+_ID_RANGE = np.iinfo(WALK_DTYPE)
+
+
+def as_walk(walk: npt.ArrayLike) -> np.ndarray:
+    """``walk`` as a :data:`WALK_DTYPE` array (no copy if it already is one).
+
+    Any array shape is accepted, so an engine can cast its whole trails
+    matrix with one range check.  Ids outside the ``int32`` range raise
+    :class:`~repro.exceptions.WalkError` instead of wrapping.
+    """
+    arr = np.asarray(walk)
+    if arr.dtype == WALK_DTYPE:
+        return arr
+    if arr.dtype.kind not in "iu":
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError as exc:
+            raise WalkError(f"walk node id out of int32 range: {exc}") from exc
+    if arr.size and (arr.min() < _ID_RANGE.min or arr.max() > _ID_RANGE.max):
+        raise WalkError(
+            f"walk node ids must fit int32 [{_ID_RANGE.min}, {_ID_RANGE.max}]; "
+            f"got range [{arr.min()}, {arr.max()}]"
+        )
+    return arr.astype(WALK_DTYPE)
 
 
 @dataclass
@@ -25,6 +53,11 @@ class WalkCorpus:
     for worker chunks that exhausted their retries under a dead-letter
     policy — surfaced here instead of silently dropping their walks, so a
     partially failed run is visibly partial (:attr:`is_complete`).
+
+    Walks are stored as :data:`WALK_DTYPE` (``int32``) node-id arrays;
+    :meth:`add`, :meth:`from_walks` and :meth:`load` cast on the way in
+    and raise :class:`~repro.exceptions.WalkError` for ids that do not
+    fit (see :func:`as_walk`).
 
     ``metadata`` carries generation-time observability counters (engine
     kind, cache hit rates, sampler dispatch tallies) without affecting
@@ -41,13 +74,13 @@ class WalkCorpus:
         return not self.failed_chunks
 
     @classmethod
-    def from_walks(cls, walks: Iterable[np.ndarray]) -> "WalkCorpus":
+    def from_walks(cls, walks: Iterable[npt.ArrayLike]) -> "WalkCorpus":
         """Build a corpus from an iterable of node-id arrays."""
-        return cls(walks=[np.asarray(w, dtype=np.int64) for w in walks])
+        return cls(walks=[as_walk(w) for w in walks])
 
-    def add(self, walk: np.ndarray) -> None:
+    def add(self, walk: npt.ArrayLike) -> None:
         """Append one walk."""
-        self.walks.append(np.asarray(walk, dtype=np.int64))
+        self.walks.append(as_walk(walk))
 
     def __len__(self) -> int:
         return len(self.walks)
@@ -121,5 +154,5 @@ class WalkCorpus:
             for line in handle:
                 line = line.strip()
                 if line:
-                    walks.append(np.asarray(line.split(), dtype=np.int64))
+                    walks.append(as_walk(line.split()))
         return cls(walks=walks)

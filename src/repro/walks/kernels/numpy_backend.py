@@ -175,8 +175,10 @@ def acceptance_mask(
 ) -> npt.NDArray[np.bool_]:
     """Rejection-round acceptance test: ``u <= min(1, ratio * factor)``.
 
-    One boolean per pending walker; the engine loops rejection rounds
-    over the (geometrically shrinking) ``False`` remainder.
+    One boolean per proposal.  The engine lays each pending walker's
+    block of proposals out contiguously, keeps the first ``True`` of every
+    block, and runs the next, doubled block round over the walkers whose
+    block held none.
     """
     # kcc: dims=ratios:W,factors:W,uniforms:W
     acceptance = xp.minimum(1.0, ratios * factors)

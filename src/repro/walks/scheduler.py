@@ -65,7 +65,7 @@ from ..graph.sharded import (
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
-from .batch import _engine_walks, _trim_trail
+from .batch import _engine_walks, _trim_trails
 from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
@@ -373,14 +373,14 @@ class BucketedWalkScheduler:
             trails = np.full((len(walkers), length + 1), -1, dtype=np.int64)
             if len(walkers):
                 trails[:, 0] = walkers
-            return [_trim_trail(row) for row in trails]
+            return _trim_trails(trails)
         with kernel_scope("walker_streams"):
             seeds = gen.integers(0, 2**63 - 1, size=len(walkers))
         state = _ChunkState(
             walkers, length, self.graph.degrees.astype(np.int64, copy=False), seeds
         )
         self._schedule(state)
-        return [_trim_trail(row) for row in state.trails]
+        return _trim_trails(state.trails)
 
     def walks(
         self,

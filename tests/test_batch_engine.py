@@ -3,7 +3,8 @@
 Covers the four dispatch paths (naive / rejection / alias / fallback), the
 cache's byte accounting, the determinism contract (worker count and cache
 size never change the corpus — hash-pinned), chi-square statistical
-equivalence with the scalar engine, and dead-end round-tripping through
+equivalence with the scalar engine, exactness and the proposal cap of the
+blocked rejection rounds, and dead-end round-tripping through
 :class:`WalkCorpus` persistence.
 """
 
@@ -15,10 +16,16 @@ import pytest
 import scipy.stats
 
 from repro import MemoryAwareFramework, Node2VecModel, SamplerKind
-from repro.exceptions import WalkError
+from repro.exceptions import SamplerError, WalkError
 from repro.framework.node_samplers import NaiveNodeSampler
 from repro.graph import from_edges, powerlaw_cluster_graph
-from repro.walks import BatchWalkEngine, EdgeStateCache, parallel_walks
+from repro.models import AutoregressiveModel
+from repro.walks import (
+    BatchWalkEngine,
+    EdgeStateCache,
+    parallel_walks,
+    scheduled_walks,
+)
 from repro.walks.corpus import WalkCorpus
 
 
@@ -236,7 +243,7 @@ class TestCacheUnderLoad:
 # determinism (hash-pinned)
 # ----------------------------------------------------------------------
 class TestBatchDeterminism:
-    PINNED = "c9cd8613846572b4ed879b29b79545a33f8cdb71a680c8a16bf90ba65aadd620"
+    PINNED = "672a82d955da500a064dc05f6e5d0f66b7211dd456abb4b4be66a3f0683ca5cf"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pinned_corpus_hash(self, framework, backend):
@@ -353,6 +360,91 @@ class TestChiSquareEquivalence:
         assert len(pvalues) >= 3
         _, combined = scipy.stats.combine_pvalues(pvalues, method="fisher")
         assert combined > 0.01
+
+
+# ----------------------------------------------------------------------
+# blocked rejection rounds: exactness and the proposal cap
+# ----------------------------------------------------------------------
+def _tv_noise(p: np.ndarray, n: int) -> float:
+    """Expected total-variation distance between ``p`` and an ``n``-sample
+    empirical law drawn from it (normal approximation per outcome)."""
+    return float(0.5 * np.sqrt(2.0 * p * (1.0 - p) / (np.pi * n)).sum())
+
+
+class TestBlockedRejection:
+    START = 11  # degree 6, neighbours of degree 3..20
+
+    @staticmethod
+    def _engine(graph, model, **kwargs):
+        fw = MemoryAwareFramework.memory_unaware(
+            graph, model, SamplerKind.REJECTION, rng=0
+        )
+        return BatchWalkEngine(graph, model, fw.walk_engine.samplers, **kwargs)
+
+    @pytest.mark.parametrize(
+        "e2e_model",
+        [Node2VecModel(0.25, 4.0), AutoregressiveModel(0.6)],
+        ids=["node2vec-global-bound", "autoregressive-per-edge"],
+    )
+    def test_total_variation_against_exact_law(self, graph, e2e_model):
+        """Every second hop out of one start node, all-rejection assignment.
+
+        node2vec a=0.25, b=4 accepts most proposals with probability 1/16
+        under the global bound 4, so walkers reach deep proposal blocks;
+        the autoregressive model has no global bound and uses each
+        sampler's per-edge acceptance factor.
+        """
+        engine = self._engine(graph, e2e_model)
+        assert (engine._global_bound is None) == isinstance(
+            e2e_model, AutoregressiveModel
+        )
+        u = self.START
+        corpus = engine.walks(
+            starts=np.full(20_000, u), num_walks=1, length=2, rng=5
+        )
+        counts = corpus.second_order_transition_counts()
+        separated = 0
+        for v in graph.neighbors(u):
+            counter = counts[(u, int(v))]
+            n = sum(counter.values())
+            assert n > 2_000
+            exact = e2e_model.e2e_distribution(graph, u, int(v))
+            observed = np.array(
+                [counter.get(int(z), 0) for z in graph.neighbors(int(v))]
+            ) / n
+            bound = 3.0 * _tv_noise(exact, n)
+            assert 0.5 * np.abs(observed - exact).sum() < bound
+            proposal = graph.weights[graph.indptr[v] : graph.indptr[v + 1]]
+            proposal = proposal / proposal.sum()
+            separated += 0.5 * np.abs(proposal - exact).sum() > bound
+        # The bound has power: it rejects the unfiltered proposal law.
+        assert separated >= 3
+
+    def test_tiny_cap_raises(self, graph):
+        engine = self._engine(
+            graph, Node2VecModel(0.25, 4.0), max_rejection_rounds=1
+        )
+        with pytest.raises(SamplerError, match="1 proposals per walker"):
+            engine.walks(
+                starts=np.full(200, self.START), num_walks=1, length=2, rng=0
+            )
+
+    def test_cap_of_one_suffices_when_every_proposal_accepts(self, graph):
+        # a = b = 1: every ratio is 1 under bound 1, so round 0 accepts all.
+        flat = Node2VecModel(1.0, 1.0)
+        kwargs = dict(num_walks=2, length=6, rng=3)
+        capped = self._engine(graph, flat, max_rejection_rounds=1).walks(**kwargs)
+        free = self._engine(graph, flat).walks(**kwargs)
+        assert corpus_sha(capped) == corpus_sha(free)
+
+    def test_engine_emits_int32_walks(self, graph, model, framework):
+        engine = framework.batch_engine(cache_budget=0)
+        walks = engine.walk_chunk([0, 1, 2], num_walks=2, length=5, rng=0)
+        assert {w.dtype for w in walks} == {np.dtype(np.int32)}
+        corpus = WalkCorpus.from_walks(walks)
+        assert all(a is b for a, b in zip(corpus, walks))  # no copy
+        scheduled = scheduled_walks(graph, model, num_walks=2, length=5, rng=0)
+        assert {w.dtype for w in scheduled} == {np.dtype(np.int32)}
 
 
 # ----------------------------------------------------------------------

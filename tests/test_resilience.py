@@ -404,6 +404,21 @@ class TestCheckpointResume:
         # a clean line instead of fusing with it.
         assert not path.read_text().endswith('"se')
 
+    def test_checkpoint_walks_load_as_int32(self, tmp_path):
+        path = tmp_path / "walks.ckpt"
+        store = WalkCheckpoint(path)
+        signature = {"num_walks": 1}
+        store.start(signature)
+        store.append(0, 5, [0, 1], [np.array([0, 2, 1]), np.array([1, 0])])
+        store.append(1, 6, [2], [np.array([2, 2**31])])
+        with pytest.raises(WalkError, match="int32"):
+            store.load(signature)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]))
+        _, _, walks = store.load(signature)[0]
+        assert [w.dtype for w in walks] == [np.dtype(np.int32)] * 2
+        assert [w.tolist() for w in walks] == [[0, 2, 1], [1, 0]]
+
     def test_resume_after_torn_write_stays_resumable(
         self, framework, reference, tmp_path
     ):

@@ -69,6 +69,47 @@ class TestWalkCorpus:
         assert corpus.average_length == 0.0
         assert corpus.total_steps == 0
 
+    def test_walks_stored_as_int32(self, tmp_path):
+        corpus = WalkCorpus.from_walks([[0, 1, 2], np.array([3, 4], np.int64)])
+        corpus.add(np.array([5, 6], dtype=np.uint64))
+        path = tmp_path / "walks.txt"
+        corpus.save(path)
+        for walks in (corpus, WalkCorpus.load(path)):
+            assert [w.dtype for w in walks] == [np.dtype(np.int32)] * 3
+        assert [w.tolist() for w in WalkCorpus.load(path)] == [
+            [0, 1, 2], [3, 4], [5, 6],
+        ]
+
+    def test_int32_walk_is_not_copied(self):
+        walk = np.array([0, 1, 2], dtype=np.int32)
+        corpus = WalkCorpus()
+        corpus.add(walk)
+        assert corpus[0] is walk
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            [0, 2**31],
+            np.array([0, 2**31], dtype=np.int64),
+            np.array([-(2**31) - 1, 0], dtype=np.int64),
+            np.array([2**63], dtype=np.uint64),
+            [2**70],
+        ],
+    )
+    def test_ids_outside_int32_raise(self, walk, tmp_path):
+        with pytest.raises(WalkError, match="int32"):
+            WalkCorpus.from_walks([walk])
+        with pytest.raises(WalkError, match="int32"):
+            WalkCorpus().add(walk)
+        path = tmp_path / "walks.txt"
+        path.write_text(" ".join(map(str, np.asarray(walk).tolist())) + "\n")
+        with pytest.raises(WalkError, match="int32"):
+            WalkCorpus.load(path)
+
+    def test_int32_bounds_accepted(self):
+        corpus = WalkCorpus.from_walks([[-(2**31), 2**31 - 1]])
+        assert corpus[0].tolist() == [-(2**31), 2**31 - 1]
+
 
 class TestNode2VecTask:
     def test_walks_generated(self, framework, rng):
